@@ -304,6 +304,11 @@ type roundScratch struct {
 	envHi   [][]float64
 	order   []int32
 	ubs     []float64
+	// Per-pair LB_Keogh bounds computed this round (lbFresh marks the
+	// slots a worker filled), written back to the dirty-pair memo after
+	// the worker pool joins: workers only ever read the memo.
+	lbs     []float64
+	lbFresh []bool
 }
 
 // Pair resolution states, recorded per pair in roundScratch.state. The
@@ -510,6 +515,14 @@ func (d *Detector) comparePairs(sc *roundScratch, memo *pairMemo) ([]PairDistanc
 		sc.state = make([]uint8, np)
 	}
 	sc.state = sc.state[:np]
+	if memo != nil {
+		if cap(sc.lbs) < np {
+			sc.lbs = make([]float64, np)
+			sc.lbFresh = make([]bool, np)
+		}
+		sc.lbs, sc.lbFresh = sc.lbs[:np], sc.lbFresh[:np]
+		clear(sc.lbFresh)
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			pd := PairDistance{A: sc.ids[i], B: sc.ids[j]}
@@ -594,14 +607,20 @@ func (d *Detector) comparePairs(sc *roundScratch, memo *pairMemo) ([]PairDistanc
 		}
 	}
 	if memo != nil {
-		// Cache write-back: only outcomes that are pure functions of the
-		// two views — exact raws and early-abandoned prefix bounds.
-		// LB_Keogh bounds are round-local (the envelope radius depends on
-		// the round's length spread) and would not reproduce; pairs the
-		// extremes repair recomputed depend on the whole batch and are
-		// not written back, so a cold cache replays the identical repair.
+		// Cache write-back, serial after the worker pool has joined so
+		// the memo has a single writer: the pool's workers only read it.
+		// Only outcomes that are pure functions of the two views are
+		// stored — exact raws, early-abandoned prefix bounds, and the
+		// LB_Keogh bounds computed this round, keyed by the round
+		// envelope radius they were computed under (a later round serves
+		// one only under the same radius). Pairs the extremes repair
+		// recomputed depend on the whole batch and are not stored as
+		// resolve outcomes, so a cold cache replays the identical repair.
 		// Reused entries are already stored.
 		for k := range pairs {
+			if sc.lbFresh[k] {
+				memo.storeLB(pairs[k].A, pairs[k].B, sc.envR, sc.lbs[k])
+			}
 			switch sc.state[k] {
 			case stateExact:
 				memo.storeResolved(pairs[k].A, pairs[k].B, pairs[k].Raw, false)
@@ -701,7 +720,7 @@ func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []Pair
 			}
 			lb = d.perSample(lb, a, b)
 			if memo != nil {
-				memo.storeLB(p.A, p.B, sc.envR, lb)
+				sc.lbs[k], sc.lbFresh[k] = lb, true
 			}
 		}
 		if lb > t {

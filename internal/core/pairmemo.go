@@ -89,6 +89,12 @@ type pairEntry struct {
 // owns the backing array for Result.Pairs, so steady-state rounds stop
 // allocating a fresh pair slice; the trade is a documented lifetime —
 // a monitor round's Result.Pairs is valid until the next uncached round.
+//
+// The memo has one writer at a time by construction: the compare worker
+// pool only reads it (lookup, lookupLB), and every store runs on the
+// round's own goroutine — the extremes repair and the write-back after
+// the pool joins (comparePairs). Map reads racing a map write abort the
+// process, so a store from inside a worker is a bug, not a slowdown.
 type pairMemo struct {
 	// fp holds the current round's fingerprints, refreshed by beginRound.
 	fp map[vanet.NodeID]seriesFP

@@ -367,3 +367,72 @@ func TestMonitorSteadyStateAllocs(t *testing.T) {
 		t.Errorf("incremental monitor round allocates %.0f times, budget is 16", allocs)
 	}
 }
+
+// TestMonitorParallelWarmMemoDeterminism runs the compare worker pool
+// against a live, warm dirty-pair memo — the path a bare Detect (nil
+// memo) never reaches. A Workers=4 monitor must return the same Results,
+// work counters included, as a Workers=1 monitor over cold, incremental
+// and window-shifted rounds. Under -race it also pins that the workers
+// only read the memo: every store happens after the pool has joined.
+func TestMonitorParallelWarmMemoDeterminism(t *testing.T) {
+	for _, seed := range []int64{311, 312} {
+		det := DefaultConfig(testBoundary())
+		det.MinMedianRSSIDBm = 0
+		det.LBPrune = true
+		det.Workers = 1
+		seq, err := NewMonitor(MonitorConfig{Detector: det, ConfirmWindow: 3, ConfirmNeed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		det.Workers = 4
+		par, err := NewMonitor(MonitorConfig{Detector: det, ConfirmWindow: 3, ConfirmNeed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		feedBoth(t, seq, par, sybilCluster(rng, 21)) // 24 identities, 276 pairs
+		end := seq.Now()
+		reused, pruned := 0, 0
+		round := func(at time.Duration) {
+			t.Helper()
+			a, err := seq.DetectAt(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := par.DetectAt(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused += b.PairsReusedDirty
+			pruned += b.PairsPrunedLB
+			if !reflect.DeepEqual(a.Suspects, b.Suspects) ||
+				!reflect.DeepEqual(a.Confirmed, b.Confirmed) ||
+				!reflect.DeepEqual(a.Considered, b.Considered) ||
+				!reflect.DeepEqual(a.Pairs, b.Pairs) ||
+				a.WindowEnd != b.WindowEnd || a.Cached != b.Cached {
+				t.Fatalf("seed %d at %v: parallel warm-memo round diverged from sequential", seed, at)
+			}
+			if a.PairsCompared != b.PairsCompared || a.PairsPrunedLB != b.PairsPrunedLB ||
+				a.PairsReusedDirty != b.PairsReusedDirty {
+				t.Fatalf("seed %d at %v: counters (%d compared, %d pruned, %d reused) != sequential (%d, %d, %d)",
+					seed, at, b.PairsCompared, b.PairsPrunedLB, b.PairsReusedDirty,
+					a.PairsCompared, a.PairsPrunedLB, a.PairsReusedDirty)
+			}
+		}
+		round(end) // cold: every LB bound and resolve outcome is stored
+		for i := 0; i < 3; i++ {
+			for _, id := range []vanet.NodeID{1, 2} {
+				for _, m := range []*Monitor{seq, par} {
+					if err := m.Observe(id, end, -68.5); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			round(end) // warm: clean pairs read the memo while dirty ones fill it
+		}
+		round(end + beat)
+		if reused == 0 || pruned == 0 {
+			t.Fatalf("seed %d: %d reused, %d pruned; the warm parallel path never ran", seed, reused, pruned)
+		}
+	}
+}

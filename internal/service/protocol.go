@@ -31,6 +31,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"voiceprint/internal/vanet"
@@ -81,10 +82,23 @@ func (o Observation) T() time.Duration { return time.Duration(o.TMs) * time.Mill
 var ErrMalformed = errors.New("service: malformed observation")
 
 // ParseObservation parses and validates one NDJSON line.
+//
+// Lines in the fixed wire shape — the keys above, each at most once, in
+// any order, with numeric values — take a single-pass scanner that
+// allocates nothing beyond the schema-1 Position. Every other line takes
+// the reflective encoding/json path, so the accepted language and the
+// error class are exactly encoding/json's: the scanner only ever accepts
+// what it fully recognises, and produces the same values the reflective
+// decoder would from it.
 func ParseObservation(line []byte) (Observation, error) {
-	var o Observation
-	if err := json.Unmarshal(line, &o); err != nil {
-		return Observation{}, fmt.Errorf("%w: %v", ErrMalformed, err)
+	o, pos, hasPos, ok := scanObservation(line)
+	if !ok {
+		var err error
+		if o, err = unmarshalObservation(line); err != nil {
+			return Observation{}, err
+		}
+	} else if hasPos {
+		o.Pos = &Position{X: pos.X, Y: pos.Y}
 	}
 	if o.TMs < 0 {
 		return Observation{}, fmt.Errorf("%w: negative t_ms %d", ErrMalformed, o.TMs)
@@ -102,6 +116,227 @@ func ParseObservation(line []byte) (Observation, error) {
 		}
 	}
 	return o, nil
+}
+
+// unmarshalObservation is the reflective fallback for every line the
+// scanner does not recognise. Its decode target escapes into
+// encoding/json, so it is declared here, where only the fallback pays
+// for its heap allocation, not in ParseObservation.
+func unmarshalObservation(line []byte) (Observation, error) {
+	var o Observation
+	if err := json.Unmarshal(line, &o); err != nil {
+		return Observation{}, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	return o, nil
+}
+
+// Observation keys the scanner recognises, as bits of a seen-set.
+const (
+	keyRecv uint8 = 1 << iota
+	keySender
+	keyTMs
+	keyRSSI
+	keySchema
+	keyPos
+	keyX
+	keyY
+)
+
+// scanObservation decodes the fixed observation shape in one pass: an
+// object whose keys are drawn from recv, sender, t_ms, rssi, schema and
+// pos (itself an object of x and y), each at most once and spelled
+// exactly, with JSON whitespace between tokens and number values only.
+// Each number is checked against the RFC 8259 grammar and converted by
+// the strconv call encoding/json makes for its field, so the values are
+// bit-identical to the reflective decoder's. ok is false for anything
+// else — unknown, duplicate, escaped or case-variant keys, null or
+// non-number values, numbers the field's conversion rejects, trailing
+// bytes — and the caller falls back to encoding/json, which either
+// accepts the line with its own semantics or reports the error. The
+// scanner never rejects on its own authority.
+//
+// voiceprintvet:noescape
+func scanObservation(b []byte) (o Observation, pos Position, hasPos, ok bool) {
+	i := skipWS(b, 0)
+	if i >= len(b) || b[i] != '{' {
+		return
+	}
+	var seen uint8
+	inPos := false
+	i = skipWS(b, i+1)
+	// empty marks an object closed right after its opening brace, where
+	// a key may not come and neither may a comma.
+	empty := i < len(b) && b[i] == '}'
+	for {
+		if !empty {
+			// Key: a quoted run of the fixed names; anything escaped,
+			// misspelt or repeated leaves the fast path.
+			if i >= len(b) || b[i] != '"' {
+				return
+			}
+			j := i + 1
+			for j < len(b) && b[j] != '"' && b[j] != '\\' {
+				j++
+			}
+			if j >= len(b) || b[j] != '"' {
+				return
+			}
+			var key uint8
+			if inPos {
+				switch string(b[i+1 : j]) {
+				case "x":
+					key = keyX
+				case "y":
+					key = keyY
+				}
+			} else {
+				switch string(b[i+1 : j]) {
+				case "recv":
+					key = keyRecv
+				case "sender":
+					key = keySender
+				case "t_ms":
+					key = keyTMs
+				case "rssi":
+					key = keyRSSI
+				case "schema":
+					key = keySchema
+				case "pos":
+					key = keyPos
+				}
+			}
+			if key == 0 || seen&key != 0 {
+				return
+			}
+			seen |= key
+			i = skipWS(b, j+1)
+			if i >= len(b) || b[i] != ':' {
+				return
+			}
+			i = skipWS(b, i+1)
+			if key == keyPos {
+				if i >= len(b) || b[i] != '{' {
+					return
+				}
+				hasPos, inPos = true, true
+				if i = skipWS(b, i+1); i >= len(b) || b[i] != '}' {
+					continue
+				}
+			} else {
+				end := numberEnd(b, i)
+				if end < 0 {
+					return
+				}
+				tok := b[i:end]
+				var err error
+				switch key {
+				case keyRecv, keySender:
+					var n uint64
+					n, err = strconv.ParseUint(string(tok), 10, 32)
+					if key == keyRecv {
+						o.Recv = vanet.NodeID(n)
+					} else {
+						o.Sender = vanet.NodeID(n)
+					}
+				case keyTMs:
+					o.TMs, err = strconv.ParseInt(string(tok), 10, 64)
+				case keySchema:
+					var n int64
+					n, err = strconv.ParseInt(string(tok), 10, 64)
+					o.Schema = int(n)
+					if int64(o.Schema) != n { // int is 32 bits wide on some targets
+						return
+					}
+				case keyRSSI:
+					o.RSSI, err = strconv.ParseFloat(string(tok), 64)
+				case keyX:
+					pos.X, err = strconv.ParseFloat(string(tok), 64)
+				case keyY:
+					pos.Y, err = strconv.ParseFloat(string(tok), 64)
+				}
+				if err != nil {
+					return
+				}
+				i = skipWS(b, end)
+			}
+		}
+		empty = false
+		// After a value: a comma moves on to the next key of the current
+		// object, a brace closes it (closing pos resumes the outer one).
+		for {
+			if i >= len(b) {
+				return
+			}
+			if b[i] == ',' {
+				i = skipWS(b, i+1)
+				break
+			}
+			if b[i] != '}' {
+				return
+			}
+			i = skipWS(b, i+1)
+			if !inPos {
+				return o, pos, hasPos, i == len(b)
+			}
+			inPos = false
+		}
+	}
+}
+
+// skipWS returns the index of the first non-whitespace byte of b at or
+// after i, by JSON's definition of whitespace.
+func skipWS(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// numberEnd returns the end of the RFC 8259 number starting at b[i]
+//
+//	-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+//
+// or -1 when b[i:] does not start with one. What follows the number is
+// the caller's to check.
+//
+// voiceprintvet:noescape
+func numberEnd(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		i = digitsEnd(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		start := i + 1
+		if i = digitsEnd(b, start); i == start {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		start := i
+		if i = digitsEnd(b, start); i == start {
+			return -1
+		}
+	}
+	return i
+}
+
+// digitsEnd returns the index just past the run of ASCII digits at b[i:].
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // Event is one detection-round verdict on the outbound stream: a line of

@@ -40,8 +40,10 @@ func TestParseObservation(t *testing.T) {
 }
 
 func TestParseObservationRejectsNonFinite(t *testing.T) {
-	// JSON has no NaN literal, but guard the validation anyway via the
-	// struct path (e.g. a future binary decoder).
+	// JSON has no NaN or Inf literal, but a finite-looking literal can
+	// still overflow float64: both decode paths must reject it (the
+	// scanner's ParseFloat range error hands the line to encoding/json,
+	// which reports it).
 	if _, err := ParseObservation([]byte(`{"recv":1,"sender":2,"t_ms":0,"rssi":1e999}`)); !errors.Is(err, ErrMalformed) {
 		t.Errorf("overflowing rssi: err = %v, want ErrMalformed", err)
 	}
@@ -72,6 +74,97 @@ func TestParseObservationSchema1(t *testing.T) {
 		if _, err := ParseObservation([]byte(bad)); !errors.Is(err, ErrMalformed) {
 			t.Errorf("ParseObservation(%q) err = %v, want ErrMalformed", bad, err)
 		}
+	}
+}
+
+// TestScanObservationFastPath pins which lines the zero-allocation
+// scanner decodes itself and which it hands to encoding/json. Only the
+// split is pinned here — FuzzParseObservation checks that both sides
+// produce the reflective decoder's values — but a scanner that fell back
+// on everything would pass the differential check while saving nothing.
+func TestScanObservationFastPath(t *testing.T) {
+	for _, line := range []string{
+		`{"recv":901,"sender":102,"t_ms":18400,"rssi":-71.25}`,
+		`{"recv":901,"sender":102,"t_ms":18400,"rssi":-71.25,"schema":1,"pos":{"x":42.5,"y":-3.75}}`,
+		`{"pos":{"y":-3.75,"x":42.5},"schema":1,"rssi":-71.25,"t_ms":18400,"sender":102,"recv":901}`,
+		"\t{ \"recv\" : 1 ,\n\"sender\":2,\"t_ms\":0 , \"rssi\" :-70,\"pos\" : { } }\r\n",
+		`{"recv":1,"sender":2,"t_ms":-1,"rssi":-0}`, // syntax fits; validation rejects t_ms
+		`{"recv":4294967295,"sender":0,"t_ms":0,"rssi":-7.125e+1,"schema":2}`,
+		`{}`,
+	} {
+		if _, _, _, ok := scanObservation([]byte(line)); !ok {
+			t.Errorf("scanner fell back on %q", line)
+		}
+	}
+	for _, line := range []string{
+		``,
+		`[1,2,3]`,
+		`{"recv":1,"recv":2}`,
+		`{"pos":{"x":1},"pos":{"y":2}}`,
+		`{"RECV":1}`,
+		`{"\u0072ecv":1}`,
+		`{"recv":1,"extra":2}`,
+		`{"pos":{"x":1,"z":2}}`,
+		`{"pos":null}`,
+		`{"recv":null}`,
+		`{"rssi":"loud"}`,
+		`{"recv":01}`,
+		`{"recv":-0}`,
+		`{"recv":4294967296}`,
+		`{"t_ms":1E2}`,
+		`{"t_ms":18400.0}`,
+		`{"rssi":1e999}`,
+		`{"rssi":-70.}`,
+		`{"rssi":-70}x`,
+		`{"rssi":-70,}`,
+		`{"rssi":-70`,
+	} {
+		if _, _, _, ok := scanObservation([]byte(line)); ok {
+			t.Errorf("scanner accepted %q; it must fall back to encoding/json", line)
+		}
+	}
+}
+
+// TestParseObservationAllocs is the ingest decoder's allocation gate: a
+// canonical schema-0 line decodes without touching the heap, and a
+// schema-1 line allocates only the Position it returns.
+func TestParseObservationAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want float64
+	}{
+		{`{"recv":901,"sender":102,"t_ms":18400,"rssi":-71.25}`, 0},
+		{`{"recv":901,"sender":102,"t_ms":18400,"rssi":-71.25,"schema":1,"pos":{"x":42.5,"y":-3.75}}`, 1},
+	} {
+		line := []byte(tc.line)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ParseObservation(line); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != tc.want {
+			t.Errorf("ParseObservation(%s) allocates %.0f times, want %.0f", tc.line, allocs, tc.want)
+		}
+	}
+}
+
+// BenchmarkParseObservation measures the ingest decoder per line on the
+// two wire schemas (run with -benchmem).
+func BenchmarkParseObservation(b *testing.B) {
+	for _, bc := range []struct{ name, line string }{
+		{"schema0", `{"recv":901,"sender":102,"t_ms":18400,"rssi":-71.25}`},
+		{"schema1", `{"recv":901,"sender":102,"t_ms":18400,"rssi":-71.25,"schema":1,"pos":{"x":42.5,"y":-3.75}}`},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			line := []byte(bc.line)
+			b.SetBytes(int64(len(line)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ParseObservation(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
